@@ -268,6 +268,9 @@ checkScenarioGates(const ScenarioSpec &spec, ScenarioOutcome &outcome)
     if (outcome.errors != 0)
         fail("%llu non-overload error responses (%llu requests)",
              outcome.errors, outcome.requests);
+    if (outcome.served + outcome.shed > outcome.requests)
+        fail("%llu served or shed but only %llu requests issued",
+             outcome.served + outcome.shed, outcome.requests);
     if (outcome.served > 0 && outcome.p99Ms > spec.p99BoundMs) {
         std::snprintf(buf, sizeof(buf),
                       "p99 %.1f ms exceeds the %.1f ms bound",

@@ -49,6 +49,17 @@ class BenchJson
         entries_.emplace_back(key, "\"" + escape(value) + "\"");
     }
 
+    /** The value written for `key` (numbers as formatted, strings
+     *  quoted), or nullptr when absent. */
+    const std::string *
+    find(const std::string &key) const
+    {
+        for (const auto &entry : entries_)
+            if (entry.first == key)
+                return &entry.second;
+        return nullptr;
+    }
+
     /** Write BENCH_<name>.json; returns the path (empty on failure). */
     std::string
     write() const

@@ -164,13 +164,17 @@ splitmix64(uint64_t x)
 uint64_t
 mintTraceId(uint64_t salt)
 {
+    // splitmix64 is invertible, so the id is a bijection of the
+    // per-process counter and no two calls in one process collide. The
+    // pid and the first caller's salt only choose where the sequence
+    // starts, which keeps processes apart.
+    static const uint64_t base =
+        splitmix64(salt ^ (static_cast<uint64_t>(::getpid()) << 32));
     static std::atomic<uint64_t> counter{0};
-    const uint64_t n = counter.fetch_add(1, std::memory_order_relaxed);
-    uint64_t id = splitmix64(
-        n ^ (salt << 1) ^
-        (static_cast<uint64_t>(::getpid()) << 32));
-    if (id == 0) // the wire format reserves 0 for "untraced"
-        id = 1;
+    uint64_t id = 0;
+    while (id == 0) // the wire format reserves 0 for "untraced"
+        id = splitmix64(base +
+                        counter.fetch_add(1, std::memory_order_relaxed));
     return id;
 }
 

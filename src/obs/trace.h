@@ -190,9 +190,10 @@ class SpanScope
 };
 
 /**
- * Mint a nonzero trace id. Deterministically derived from a global
- * counter mixed (splitmix64) with `salt` and the pid, so concurrent
- * clients minting against the same cluster do not collide.
+ * Mint a nonzero trace id: a bijection (splitmix64) of a per-process
+ * counter, so ids minted in one process never collide whatever the
+ * salts. The pid and the first call's `salt` only pick the sequence's
+ * starting point, keeping processes apart.
  */
 uint64_t mintTraceId(uint64_t salt);
 

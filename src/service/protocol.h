@@ -89,8 +89,8 @@ struct ServiceRequest
      * it tags the spans a traced process records for this request and
      * is **never echoed** — serializeResponse() does not know it
      * exists, so responses are byte-identical with tracing on, off or
-     * absent (pinned by tests/test_service.cc and the CI obs-smoke
-     * byte-compare).
+     * absent (pinned by tests/test_service.cc and the
+     * ta_stdio_identity_smoke byte-compare).
      */
     uint64_t traceId = 0;
 };

@@ -59,8 +59,8 @@ quickClusterConfig(int replicas)
     // ctest host a probe can time out against a perfectly healthy
     // replica and restart it mid-test, resetting the counters the
     // stats assertions check. Crash detection is waitpid-based and
-    // unaffected; the probe path itself is exercised by the CI
-    // cluster-smoke job's default 500 ms cadence.
+    // unaffected; the probe path itself is exercised by the
+    // ta_cluster_* ctest smokes' default 500 ms cadence.
     cfg.healthIntervalMs = 60 * 1000;
     return cfg;
 }

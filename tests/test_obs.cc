@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -36,6 +37,16 @@ TEST(TraceId, MintedIdsAreNonzeroAndDistinct)
     EXPECT_NE(c, 0u);
     EXPECT_NE(a, b);
     EXPECT_NE(b, c);
+}
+
+TEST(TraceId, InterleavedSaltsNeverCollide)
+{
+    // Two connections' sequential request ids, interleaved, salt the
+    // mint the way Router::submit does; every id must be distinct.
+    std::unordered_set<uint64_t> seen;
+    for (uint64_t i = 0; i < 200000; ++i)
+        seen.insert(mintTraceId(i % 2 == 0 ? i / 2 : 1000 + i / 2));
+    EXPECT_EQ(seen.size(), 200000u);
 }
 
 TEST(TraceId, HexRoundTrip)

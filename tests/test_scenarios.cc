@@ -220,9 +220,17 @@ TEST(ScenarioGates, EachGateTripsIndividually)
              o.mismatches = 1;
          }},
         {"shed without allowShed",
-         [](ScenarioSpec &, ScenarioOutcome &o) { o.shed = 1; }},
+         [](ScenarioSpec &, ScenarioOutcome &o) {
+             o.served = 99;
+             o.shed = 1;
+         }},
         {"errors",
          [](ScenarioSpec &, ScenarioOutcome &o) { o.errors = 1; }},
+        {"served + shed over requests",
+         [](ScenarioSpec &s, ScenarioOutcome &o) {
+             s.allowShed = true;
+             o.shed = 1;
+         }},
         {"p99 over bound",
          [](ScenarioSpec &, ScenarioOutcome &o) { o.p99Ms = 5000; }},
         {"missing restarts",

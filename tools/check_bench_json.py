@@ -1,390 +1,116 @@
 #!/usr/bin/env python3
-"""Validate BENCH_*.json files emitted by ta_bench --json-out and
-ta_loadgen --scenario --json-out.
+"""Validate BENCH_*.json files and re-check their gate rows.
 
-Each file must parse as JSON and carry the schema-stable stamp keys
-("benchmark", "schema_version", "quick") plus at least one actual
-metric. Files stamped `benchmark == "scenarios"` additionally get a
-per-scenario schema and gate check: every scenario named in
-`scenario_list` must carry the full metric block, and the robustness
-gates (zero lost, zero duplicated, zero verification mismatches, shed
-only when the scenario declares overload, per-scenario and overall
-pass flags set) are re-enforced here so a regressing run fails CI
-even if the producer's own gating is broken. The full schema — stamp
-semantics, the determinism rule, the host-performance exceptions, and
-the PlanCacheStore binary format — is documented in
-docs/BENCH_SCHEMA.md; keep the two in sync.
+Each file is one flat JSON object with the stamps ("benchmark",
+"schema_version", "quick") and at least one metric. A gated run writes
+each gate as "gate_<name>": "<key> <op> <bound>" (the bound a number or
+another key) next to "pass". Every row is re-evaluated on the file's
+own values; a failing row, a row naming a missing key, a "pass" that
+disagrees with the rows and a missing REQUIRED gate are rejected.
+`--gate ROW` adds a row for one invocation. See docs/BENCH_SCHEMA.md.
 
-Usage: check_bench_json.py BENCH_a.json [BENCH_b.json ...]
+Usage: check_bench_json.py [--gate ROW]... BENCH_a.json [BENCH_b.json ...]
 """
 
 import json
+import operator
 import sys
 
-EXPECTED_SCHEMA_VERSION = 2
-SCENARIOS_SCHEMA_VERSION = 1
 STAMP_KEYS = ("benchmark", "schema_version", "quick")
+OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+       "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+DELIVERY = ("errors", "lost", "duplicated", "verify_mismatches")
 
-# Per-scenario metric block: every scenario in scenario_list must
-# carry <name>_<suffix> for each of these.
-SCENARIO_SUFFIXES = (
-    "requests",
-    "rps",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "p99_bound_ms",
-    "served",
-    "shed",
-    "lost",
-    "duplicated",
-    "errors",
-    "verify_mismatches",
-    "restarts",
-    "scale_ups",
-    "scale_downs",
-    "abandoned",
-    "allow_shed",
-    "pass",
-)
-
-
-def check_scenarios(path: str, data: dict) -> list:
-    """Schema + gate checks for a BENCH_scenarios.json payload."""
-    errors = []
-    if data.get("schema_version") != SCENARIOS_SCHEMA_VERSION:
-        errors.append(
-            f"{path}: scenarios schema_version "
-            f"{data.get('schema_version')!r} != {SCENARIOS_SCHEMA_VERSION}"
-        )
-    names = [n for n in str(data.get("scenario_list", "")).split(",") if n]
-    if not names:
-        errors.append(f"{path}: empty scenario_list")
-    for name in names:
-        block = {}
-        for suffix in SCENARIO_SUFFIXES:
-            key = f"{name}_{suffix}"
-            if key not in data:
-                errors.append(f"{path}: missing key '{key}'")
-            else:
-                block[suffix] = data[key]
-        if len(block) != len(SCENARIO_SUFFIXES):
-            continue  # incomplete block: gate checks would misfire
-        # Gates, re-enforced independently of the producer.
-        for hard_zero in ("lost", "duplicated", "verify_mismatches",
-                          "errors", "abandoned"):
-            if block[hard_zero] != 0:
-                errors.append(
-                    f"{path}: {name}: {hard_zero} = {block[hard_zero]} "
-                    f"(must be 0)"
-                )
-        if block["shed"] != 0 and block["allow_shed"] != 1:
-            errors.append(
-                f"{path}: {name}: shed {block['shed']} request(s) without "
-                f"declared overload"
-            )
-        if block["served"] + block["shed"] > block["requests"]:
-            errors.append(
-                f"{path}: {name}: served+shed exceeds issued requests"
-            )
-        if block["served"] > 0 and block["p99_ms"] > block["p99_bound_ms"]:
-            errors.append(
-                f"{path}: {name}: p99 {block['p99_ms']} ms over bound "
-                f"{block['p99_bound_ms']} ms"
-            )
-        if block["pass"] != 1:
-            errors.append(f"{path}: {name}: scenario did not pass")
-    if data.get("pass") != 1:
-        errors.append(f"{path}: overall pass != 1")
-    if data.get("verified") != "true":
-        errors.append(f"{path}: responses were not byte-verified")
-    if not errors:
-        print(f"{path}: ok (scenarios: {', '.join(names)})")
-    return errors
+# benchmark stamp -> (schema_version, gates the file must carry).
+# "{s}" expands over the file's scenario_list. Other stamps: version 2.
+REQUIRED = {
+    "service_throughput": (2, DELIVERY),
+    "cluster_throughput": (2, DELIVERY),
+    "slo": (2, tuple(f"{p}_{g}" for p in ("planned", "fifo")
+                     for g in ("errors", "lost", "duplicates",
+                               "verify_mismatches", "ledger",
+                               "server_shed_unmeetable"))
+            + ("planned_beats_fifo", "planned_shed_unmeetable",
+               "fifo_shed_unmeetable")),
+    "storage": (1, DELIVERY + ("cold_open_beats_synthesis", "buffer_pins",
+                               "buffer_hit_rate_min",
+                               "buffer_hit_rate_max")),
+    "obs": (1, DELIVERY + ("responses_identical", "overhead_pct", "spans")),
+    "scenarios": (1, tuple("{s}_" + g for g in DELIVERY + (
+        "abandoned", "served_and_shed", "p99_ms", "restarts", "pass"))),
+}
 
 
-SLO_POLICIES = ("planned", "fifo")
-
-# Per-policy metric block of a BENCH_slo.json payload.
-SLO_SUFFIXES = (
-    "issued",
-    "served",
-    "within_deadline",
-    "missed",
-    "goodput_rps",
-    "p99_within_deadline_ms",
-    "p99_ms",
-    "shed_unmeetable",
-    "shed_overloaded",
-    "lost",
-    "duplicates",
-    "errors",
-    "verify_mismatches",
-    "miss_rate",
-)
+def number(data: dict, token: str):
+    """The file's value for key `token`, else `token` as a literal."""
+    try:
+        return float(data.get(token, token))
+    except (TypeError, ValueError):
+        return None
 
 
-def check_slo(path: str, data: dict) -> list:
-    """Schema + gate checks for a BENCH_slo.json payload.
-
-    The SLO gates are re-enforced independently of ta_loadgen's own
-    gating: planned scheduling must beat FIFO on within-deadline
-    goodput under the same offered overload, every shed must be
-    explicit (no lost or duplicated responses, no unexplained
-    errors), the planner must shed exactly the trace's hopeless
-    fraction, and everything served must have been byte-verified.
-    """
-    errors = []
-    if data.get("schema_version") != EXPECTED_SCHEMA_VERSION:
-        errors.append(
-            f"{path}: slo schema_version "
-            f"{data.get('schema_version')!r} != {EXPECTED_SCHEMA_VERSION}"
-        )
-    for key in ("requests", "hopeless_requests", "offered_rps",
-                "cost_err_p50", "cost_err_p90", "cost_err_p99"):
-        if key not in data:
-            errors.append(f"{path}: missing key '{key}'")
-    blocks = {}
-    for policy in SLO_POLICIES:
-        block = {}
-        for suffix in SLO_SUFFIXES:
-            key = f"{policy}_{suffix}"
-            if key not in data:
-                errors.append(f"{path}: missing key '{key}'")
-            else:
-                block[suffix] = data[key]
-        blocks[policy] = block
-    if any(len(b) != len(SLO_SUFFIXES) for b in blocks.values()):
-        return errors  # incomplete block: gate checks would misfire
-    for policy, block in blocks.items():
-        for hard_zero in ("lost", "duplicates", "errors",
-                          "verify_mismatches"):
-            if block[hard_zero] != 0:
-                errors.append(
-                    f"{path}: {policy}: {hard_zero} = "
-                    f"{block[hard_zero]} (must be 0)"
-                )
-        ledger = (block["served"] + block["shed_unmeetable"]
-                  + block["shed_overloaded"] + block["lost"]
-                  + block["errors"])
-        if ledger != block["issued"]:
-            errors.append(
-                f"{path}: {policy}: response ledger {ledger} != "
-                f"issued {block['issued']}"
-            )
-    if blocks["planned"]["goodput_rps"] <= blocks["fifo"]["goodput_rps"]:
-        errors.append(
-            f"{path}: planned goodput {blocks['planned']['goodput_rps']} "
-            f"does not beat fifo {blocks['fifo']['goodput_rps']}"
-        )
-    if blocks["planned"]["shed_unmeetable"] != data.get(
-            "hopeless_requests"):
-        errors.append(
-            f"{path}: planned shed {blocks['planned']['shed_unmeetable']} "
-            f"!= hopeless fraction {data.get('hopeless_requests')}"
-        )
-    if blocks["fifo"]["shed_unmeetable"] != 0:
-        errors.append(f"{path}: fifo shed on deadline")
-    if data.get("pass") != 1:
-        errors.append(f"{path}: overall pass != 1")
-    if data.get("verified") != "true":
-        errors.append(f"{path}: responses were not byte-verified")
-    if not errors:
-        print(
-            f"{path}: ok (slo: planned "
-            f"{blocks['planned']['goodput_rps']} vs fifo "
-            f"{blocks['fifo']['goodput_rps']} goodput rps)"
-        )
-    return errors
+def evaluate(data: dict, row) -> tuple:
+    parts = str(row).split()
+    if len(parts) != 3 or parts[1] not in OPS:
+        return False, "malformed row"
+    a, b = number(data, parts[0]), number(data, parts[2])
+    if a is None or b is None:
+        return False, "names a missing or non-numeric key"
+    return OPS[parts[1]](a, b), f"{a:g} vs {b:g}"
 
 
-STORAGE_SCHEMA_VERSION = 1
-
-# Required metric keys of a BENCH_storage.json payload.
-STORAGE_KEYS = (
-    "model",
-    "model_layers",
-    "catalog_models",
-    "storage_bytes_mapped",
-    "cold_open_first_response_ms",
-    "synthesis_cold_first_response_ms",
-    "cold_open_speedup",
-    "cold_open_beats_synthesis",
-    "serial_rps",
-    "batched_rps",
-    "buffer_hits",
-    "buffer_misses",
-    "buffer_evictions",
-    "buffer_hit_rate",
-    "errors",
-    "verify_mismatches",
-    "pass",
-)
-
-
-def check_storage(path: str, data: dict) -> list:
-    """Schema + gate checks for a BENCH_storage.json payload.
-
-    Re-enforced independently of ta_loadgen's own gating: serving a
-    packed model must be byte-identical to synthesis (zero errors,
-    zero verification mismatches) and the cold-open first response —
-    pinning the plane out of the mmapped segment — must beat a
-    fresh-synthesis cold start of the same request.
-    """
-    errors = []
-    if data.get("schema_version") != STORAGE_SCHEMA_VERSION:
-        errors.append(
-            f"{path}: storage schema_version "
-            f"{data.get('schema_version')!r} != {STORAGE_SCHEMA_VERSION}"
-        )
-    for key in STORAGE_KEYS:
-        if key not in data:
-            errors.append(f"{path}: missing key '{key}'")
-    if errors:
-        return errors
-    for hard_zero in ("errors", "verify_mismatches"):
-        if data[hard_zero] != 0:
-            errors.append(
-                f"{path}: {hard_zero} = {data[hard_zero]} (must be 0)"
-            )
-    if data["cold_open_beats_synthesis"] != 1:
-        errors.append(
-            f"{path}: cold open {data['cold_open_first_response_ms']} ms "
-            f"did not beat fresh synthesis "
-            f"{data['synthesis_cold_first_response_ms']} ms"
-        )
-    if not 0.0 <= data["buffer_hit_rate"] <= 1.0:
-        errors.append(
-            f"{path}: buffer_hit_rate {data['buffer_hit_rate']} out of "
-            f"[0, 1]"
-        )
-    if data["buffer_hits"] + data["buffer_misses"] <= 0:
-        errors.append(f"{path}: no buffer pins recorded")
-    if data.get("pass") != 1:
-        errors.append(f"{path}: overall pass != 1")
-    if data.get("verified") != "true":
-        errors.append(f"{path}: responses were not byte-verified")
-    if not errors:
-        print(
-            f"{path}: ok (storage: cold open "
-            f"{data['cold_open_first_response_ms']} ms vs synthesis "
-            f"{data['synthesis_cold_first_response_ms']} ms, hit rate "
-            f"{data['buffer_hit_rate']})"
-        )
-    return errors
-
-
-OBS_SCHEMA_VERSION = 1
-
-# Required metric keys of a BENCH_obs.json payload.
-OBS_KEYS = (
-    "requests_per_phase",
-    "concurrency",
-    "trials",
-    "untraced_rps",
-    "traced_rps",
-    "overhead_pct",
-    "untraced_p99_ms",
-    "traced_p99_ms",
-    "p99_delta_ms",
-    "spans",
-    "trace_bytes",
-    "bytes_per_span",
-    "responses_identical",
-    "errors",
-    "verify_mismatches",
-    "pass",
-)
-
-
-def check_obs(path: str, data: dict) -> list:
-    """Schema + gate checks for a BENCH_obs.json payload.
-
-    The observability overhead budget, re-enforced independently of
-    ta_loadgen's own gating: tracing must cost at most 5% of untraced
-    throughput, responses must be byte-identical with tracing on or
-    off, and the traced phase must actually have recorded spans
-    (otherwise the overhead number measured nothing).
-    """
-    errors = []
-    if data.get("schema_version") != OBS_SCHEMA_VERSION:
-        errors.append(
-            f"{path}: obs schema_version "
-            f"{data.get('schema_version')!r} != {OBS_SCHEMA_VERSION}"
-        )
-    for key in OBS_KEYS:
-        if key not in data:
-            errors.append(f"{path}: missing key '{key}'")
-    if errors:
-        return errors
-    for hard_zero in ("errors", "verify_mismatches"):
-        if data[hard_zero] != 0:
-            errors.append(
-                f"{path}: {hard_zero} = {data[hard_zero]} (must be 0)"
-            )
-    if data["responses_identical"] != 1:
-        errors.append(
-            f"{path}: responses differ between traced and untraced runs"
-        )
-    if data["traced_rps"] < 0.95 * data["untraced_rps"]:
-        errors.append(
-            f"{path}: traced {data['traced_rps']} req/s below 95% of "
-            f"untraced {data['untraced_rps']} req/s "
-            f"({data['overhead_pct']}% overhead)"
-        )
-    if data["spans"] <= 0:
-        errors.append(f"{path}: traced run recorded no spans")
-    if data.get("pass") != 1:
-        errors.append(f"{path}: overall pass != 1")
-    if data.get("verified") != "true":
-        errors.append(f"{path}: responses were not byte-verified")
-    if not errors:
-        print(
-            f"{path}: ok (obs: traced {data['traced_rps']} vs untraced "
-            f"{data['untraced_rps']} req/s, {data['overhead_pct']}% "
-            f"overhead, {data['bytes_per_span']} bytes/span)"
-        )
-    return errors
-
-
-def check(path: str) -> list:
-    errors = []
+def check(path: str, extra_rows=()) -> list:
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         return [f"{path}: failed to parse: {e}"]
-    for key in STAMP_KEYS:
-        if key not in data:
-            errors.append(f"{path}: missing stamp key '{key}'")
-    if data.get("benchmark") == "scenarios":
-        return errors + check_scenarios(path, data)
-    if data.get("benchmark") == "slo":
-        return errors + check_slo(path, data)
-    if data.get("benchmark") == "storage":
-        return errors + check_storage(path, data)
-    if data.get("benchmark") == "obs":
-        return errors + check_obs(path, data)
-    if data.get("schema_version") != EXPECTED_SCHEMA_VERSION:
-        errors.append(
-            f"{path}: schema_version {data.get('schema_version')!r} "
-            f"!= {EXPECTED_SCHEMA_VERSION}"
-        )
-    metrics = [k for k in data if k not in STAMP_KEYS]
-    if not metrics:
+    errors = [f"{path}: missing stamp key '{k}'"
+              for k in STAMP_KEYS if k not in data]
+    version, required = REQUIRED.get(data.get("benchmark"), (2, ()))
+    if data.get("schema_version") != version:
+        errors.append(f"{path}: schema_version "
+                      f"{data.get('schema_version')!r} != {version}")
+    if all(k in STAMP_KEYS for k in data):
         errors.append(f"{path}: no metric keys beyond the stamps")
+    rows = {k[len("gate_"):]: v for k, v in data.items()
+            if k.startswith("gate_")}
+    scenarios = [s for s in str(data.get("scenario_list", "")).split(",")
+                 if s]
+    for gate in required:
+        for name in ([gate.format(s=s) for s in scenarios]
+                     if "{s}" in gate else [gate]):
+            if name not in rows:
+                errors.append(f"{path}: missing required gate '{name}'")
+    held = True
+    for name, row in list(rows.items()) + [("--gate", r) for r in extra_rows]:
+        ok, why = evaluate(data, row)
+        if not ok:
+            errors.append(f"{path}: gate {name} failed: {row} ({why})")
+        held = held and (ok or name == "--gate")
+    if rows and data.get("pass") != (1 if held else 0):
+        errors.append(f"{path}: pass {data.get('pass')!r} disagrees with "
+                      f"the gate rows")
     if not errors:
-        print(f"{path}: ok ({data['benchmark']}, {len(metrics)} metrics)")
+        print(f"{path}: ok ({data['benchmark']}, {len(rows)} gates)")
     return errors
 
 
 def main(argv: list) -> int:
-    if not argv:
-        print("usage: check_bench_json.py FILE...", file=sys.stderr)
+    extra_rows, paths = [], []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--gate":
+            extra_rows.append(next(args, ""))
+        else:
+            paths.append(arg)
+    if not paths:
+        print("usage: check_bench_json.py [--gate ROW]... FILE...",
+              file=sys.stderr)
         return 2
     errors = []
-    for path in argv:
-        errors.extend(check(path))
+    for path in paths:
+        errors.extend(check(path, extra_rows))
     for e in errors:
         print(e, file=sys.stderr)
     return 1 if errors else 0
