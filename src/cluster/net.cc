@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -18,6 +19,8 @@ connectLoopback(uint16_t port, int timeout_ms, bool keep_io_timeouts)
     const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0)
         return -1;
+    const int nodelay = 1; // see the file comment in net.h
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     // The send timeout also bounds connect() itself on Linux.
     timeval tv{timeout_ms / 1000, (timeout_ms % 1000) * 1000};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));

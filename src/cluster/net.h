@@ -1,9 +1,10 @@
 /**
  * @file
  * Small blocking loopback-socket helpers shared by the cluster's
- * ReplicaManager (health probes, graceful shutdown) and Router
- * (replica connections) — one implementation, so fixes like EINTR
- * handling or close-on-exec never diverge between the two.
+ * ReplicaManager (health probes, graceful shutdown), Router (replica
+ * connections) and ta_loadgen — one implementation, so fixes like EINTR
+ * handling, close-on-exec or TCP_NODELAY never diverge between them.
+ * TCP_NODELAY: a line per write() must not wait for a delayed ACK.
  */
 
 #ifndef TA_CLUSTER_NET_H

@@ -460,8 +460,9 @@ Router::redispatchLoop()
                 return a.due < b.due;
             });
         const auto now = std::chrono::steady_clock::now();
-        if (next->due > now) {
-            delayedCv_.wait_until(lock, next->due);
+        const auto due = next->due; // a copy: delayed_ may reallocate mid-wait
+        if (due > now) {
+            delayedCv_.wait_until(lock, due);
             continue; // re-scan: the queue may have changed
         }
         PendingCall call = std::move(next->call);

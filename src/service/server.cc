@@ -2,6 +2,7 @@
 
 #include <csignal>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -250,6 +251,10 @@ serveLineTcp(const LineHandler &handler, uint16_t port,
         timeval send_timeout{ConnWriter::kWriteTimeoutMs / 1000, 0};
         ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
                      sizeof(send_timeout));
+        // Each response line is its own write(): with Nagle on, a line
+        // waits for the client's delayed ACK of the one before (40 ms).
+        const int nodelay = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
         auto conn = std::make_unique<Conn>();
         Conn *c = conn.get();
         c->fd = fd;

@@ -5,15 +5,21 @@
  * end-to-end determinism contract over real `ta_serve` replica
  * processes — routed responses are byte-identical to standalone
  * serial runs for every {replica count, policy, submit concurrency}
- * combination, and a replica SIGKILLed mid-trace is restarted by the
+ * combination, a replica SIGKILLed mid-trace is restarted by the
  * ReplicaManager with no lost and no duplicated responses (the TSan
- * CI job runs the same tests against the router's internals).
+ * CI job runs the same tests against the router's internals), and
+ * pipelined lines on a replica connection never wait on a delayed ACK.
  *
  * The replica binary is `./ta_serve` (tests run from the build
  * directory) unless TA_SERVE_BIN overrides it.
  */
 
 #include <gtest/gtest.h>
+
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <cstdlib>
@@ -33,6 +39,7 @@
 #include <sstream>
 
 #include "cluster/fault_injector.h"
+#include "cluster/net.h"
 #include "cluster/router.h"
 #include "obs/trace.h"
 #include "service/protocol.h"
@@ -139,14 +146,13 @@ standaloneResponses(const std::vector<ServiceRequest> &trace)
 }
 
 /**
- * Route the whole trace from `concurrency` submitter threads;
- * `on_response(i)` fires per delivery. Returns the response line per
+ * Route the whole trace from `concurrency` submitter threads, trace
+ * index i as request id `first_id + i`. Returns the response line per
  * trace index and asserts exactly-once delivery.
  */
 std::vector<std::string>
 routeAll(Router &router, const std::vector<ServiceRequest> &trace,
-         size_t concurrency,
-         std::function<void(size_t)> on_response = nullptr)
+         size_t concurrency, uint64_t first_id = 1)
 {
     // Responders run on router reader threads and hold this state by
     // shared_ptr, so even a (buggy) late duplicate delivery could
@@ -162,26 +168,22 @@ routeAll(Router &router, const std::vector<ServiceRequest> &trace,
         std::vector<std::string> responses;
         std::vector<std::unique_ptr<std::atomic<int>>> deliveries;
         std::vector<std::promise<void>> done;
-        std::function<void(size_t)> on_response;
     };
     auto state = std::make_shared<State>(trace.size());
-    state->on_response = std::move(on_response);
     std::atomic<size_t> next{0};
     std::vector<std::thread> submitters;
     for (size_t c = 0; c < concurrency; ++c) {
-        submitters.emplace_back([&router, &trace, &next, state] {
+        submitters.emplace_back([&router, &trace, &next, first_id, state] {
             while (true) {
                 const size_t i = next.fetch_add(1);
                 if (i >= trace.size())
                     return;
                 ServiceRequest req = trace[i];
-                req.id = i + 1;
+                req.id = first_id + i;
                 router.submit(
                     req, [state, i](const std::string &line) {
                         if (state->deliveries[i]->fetch_add(1) == 0) {
                             state->responses[i] = line;
-                            if (state->on_response)
-                                state->on_response(i);
                             state->done[i].set_value();
                         }
                     });
@@ -196,6 +198,52 @@ routeAll(Router &router, const std::vector<ServiceRequest> &trace,
         EXPECT_EQ(state->deliveries[i]->load(), 1)
             << "trace " << i << " delivered more than once";
     return state->responses;
+}
+
+/**
+ * Route `trace` (ids 1..n, one engine key) while SIGKILLing `victim`,
+ * the replica in affinity slot `home`, with work provably in flight on
+ * it: the first requests complete, the victim is SIGSTOPped, the rest
+ * are submitted, and it is killed once the router shows all of them
+ * forwarded to `home`. Returns the responses in trace order once every
+ * one is delivered and the manager has counted the restart (both waits
+ * bounded).
+ */
+std::vector<std::string>
+routeKillingHomeMidTrace(Router &router, ReplicaManager &manager,
+                         int home, pid_t victim,
+                         const std::vector<ServiceRequest> &trace)
+{
+    constexpr size_t kWarm = 6;
+    std::vector<std::string> got = routeAll(
+        router, {trace.begin(), trace.begin() + kWarm}, 8);
+    EXPECT_EQ(::kill(victim, SIGSTOP), 0);
+
+    bool forwarded = false;
+    int kill_rc = -1;
+    std::thread killer([&] {
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::seconds(10);
+        while (router.counters().perReplica[home] < trace.size() &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        forwarded = router.counters().perReplica[home] >= trace.size();
+        kill_rc = ::kill(victim, SIGKILL);
+    });
+    const std::vector<std::string> rest = routeAll(
+        router, {trace.begin() + kWarm, trace.end()}, 8, kWarm + 1);
+    killer.join();
+    EXPECT_TRUE(forwarded)
+        << "the rest of the trace never reached the stopped victim";
+    EXPECT_EQ(kill_rc, 0);
+    got.insert(got.end(), rest.begin(), rest.end());
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (manager.restarts() < 1 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    return got;
 }
 
 // ---- policy units (no processes) ----------------------------------------
@@ -289,6 +337,44 @@ TEST(ClusterDeterminism, ByteIdenticalAcrossReplicasPoliciesConcurrency)
     }
 }
 
+// ---- transport -----------------------------------------------------------
+
+TEST(ClusterTransport, PipelinedLinesDoNotWaitForDelayedAck)
+{
+    ReplicaManager manager(quickClusterConfig(1));
+    ASSERT_TRUE(manager.start());
+    const int fd = connectLoopback(manager.endpoint(0).port, 5000);
+    ASSERT_GE(fd, 0);
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(
+        ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_NE(nodelay, 0);
+
+    // Two pings in one write: the replica's connection thread answers
+    // with two back-to-back writes, and with Nagle on the second waits
+    // for this end's delayed ACK of the first (40 ms on Linux).
+    std::vector<double> rounds_ms;
+    for (int round = 0; round < 20; ++round) {
+        const auto t0 = std::chrono::steady_clock::now();
+        ASSERT_TRUE(writeAll(fd, "{\"id\":1,\"op\":\"ping\"}\n"
+                                 "{\"id\":2,\"op\":\"ping\"}\n"));
+        std::string line;
+        ASSERT_TRUE(readLineTimeout(fd, 5000, line));
+        EXPECT_EQ(line, "{\"id\":1,\"ok\":1,\"pong\":1}");
+        ASSERT_TRUE(readLineTimeout(fd, 5000, line));
+        EXPECT_EQ(line, "{\"id\":2,\"ok\":1,\"pong\":1}");
+        rounds_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count());
+    }
+    ::close(fd);
+    std::sort(rounds_ms.begin(), rounds_ms.end());
+    EXPECT_LT(rounds_ms[rounds_ms.size() / 2], 10.0)
+        << "median pipelined round";
+    manager.stop();
+}
+
 TEST(ClusterResilience, CrashedReplicaRestartsNoLostNoDuplicated)
 {
     constexpr int kReplicas = 3;
@@ -311,21 +397,14 @@ TEST(ClusterResilience, CrashedReplicaRestartsNoLostNoDuplicated)
     const pid_t victim = manager.pidOf(home);
     ASSERT_GT(victim, 0);
 
-    // SIGKILL the affinity home slot once a few responses are in:
-    // requests in flight on it must be re-dispatched, not lost, and
-    // the slot must come back (bounded backoff) for the rest.
-    std::atomic<size_t> delivered{0};
-    std::atomic<bool> killed{false};
-    const std::vector<std::string> got = routeAll(
-        router, trace, 8, [&](size_t) {
-            if (delivered.fetch_add(1) + 1 == 6 &&
-                !killed.exchange(true))
-                ::kill(victim, SIGKILL);
-        });
+    // SIGKILL the affinity home slot with requests in flight on it:
+    // they must be re-dispatched, not lost, and the slot must come
+    // back (bounded backoff) to serve them.
+    const std::vector<std::string> got =
+        routeKillingHomeMidTrace(router, manager, home, victim, trace);
 
     for (size_t i = 0; i < trace.size(); ++i)
         EXPECT_EQ(got[i], expect[i]) << "trace " << i;
-    EXPECT_TRUE(killed.load());
     EXPECT_GE(manager.restarts(), 1u);
 
     // Affinity stability across the restart: every request was
@@ -668,17 +747,10 @@ TEST(ClusterTracing, TraceSurvivesSigkillRedispatchExactlyOnce)
     const pid_t victim = manager.pidOf(home);
     ASSERT_GT(victim, 0);
 
-    std::atomic<size_t> delivered{0};
-    std::atomic<bool> killed{false};
-    const std::vector<std::string> got = routeAll(
-        router, trace, 8, [&](size_t) {
-            if (delivered.fetch_add(1) + 1 == 6 &&
-                !killed.exchange(true))
-                ::kill(victim, SIGKILL);
-        });
+    const std::vector<std::string> got =
+        routeKillingHomeMidTrace(router, manager, home, victim, trace);
     for (size_t i = 0; i < trace.size(); ++i)
         EXPECT_EQ(got[i], expect[i]) << "trace " << i;
-    EXPECT_TRUE(killed.load());
     EXPECT_GE(manager.restarts(), 1u);
 
     // The "route" span wraps the responder, so redispatch after the

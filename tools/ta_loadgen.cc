@@ -24,7 +24,6 @@
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
-#include <netinet/in.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -47,6 +46,7 @@
 #include <vector>
 
 #include "cluster/fault_injector.h"
+#include "cluster/net.h"
 #include "cluster/router.h"
 #include "cluster/scenarios.h"
 #include "common/cli.h"
@@ -227,22 +227,11 @@ spawnServer(const std::string &command, pid_t &child)
 int
 connectTcp(uint16_t port)
 {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    // The server may still be starting: retry with a fresh socket per
-    // attempt (a failed connect leaves the fd unusable).
+    // The server may still be starting: retry for up to 5 s.
     for (int attempt = 0; attempt < 50; ++attempt) {
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) {
-            std::perror("ta_loadgen: socket");
-            return -1;
-        }
-        if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                      sizeof(addr)) == 0)
+        const int fd = connectLoopback(port, 100, /*keep_io_timeouts=*/false);
+        if (fd >= 0)
             return fd;
-        ::close(fd);
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
     std::fprintf(stderr, "ta_loadgen: could not connect to 127.0.0.1:%u\n",
