@@ -103,6 +103,8 @@ pack8(uint64_t x)
 uint32_t
 packBitsAvx2(const uint8_t *bits, size_t n)
 {
+    if (n == 0) // `bits` may be null; memcpy must not see it
+        return 0;
     // The source is a window inside a larger row, so over-reading past
     // n is not safe; stage into a zeroed buffer (zero bytes produce
     // zero pack bits, so no post-masking is needed).

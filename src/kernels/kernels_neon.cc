@@ -82,6 +82,8 @@ pack16(const uint8_t *tmp)
 uint32_t
 packBitsNeon(const uint8_t *bits, size_t n)
 {
+    if (n == 0) // `bits` may be null; memcpy must not see it
+        return 0;
     if (n <= 8) {
         // The hot case (T = 8): the multiplier places byte i's bit at
         // position 56 + i; the top byte of the product is the pack.

@@ -1,6 +1,7 @@
 #include "service/scheduler.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <exception>
 
 #include "common/logging.h"
@@ -20,6 +21,20 @@ scoreboardKeyOf(const ScoreboardConfig &c)
 }
 
 } // namespace
+
+bool
+threadsPerKeyFit(long long sessions, long long threads)
+{
+    const long long width =
+        threads > 0 ? threads : ParallelExecutor::defaultThreads();
+    if (sessions * width <= kMaxThreadsPerKey)
+        return true;
+    std::fprintf(stderr,
+                 "--sessions %lld x executor width %lld = %lld threads "
+                 "per engine key, above the cap of %lld\n",
+                 sessions, width, sessions * width, kMaxThreadsPerKey);
+    return false;
+}
 
 std::string
 WindowPlanner::admissionShed(const ServiceRequest &req) const
@@ -227,26 +242,23 @@ ServiceScheduler::submit(const ServiceRequest &req,
 }
 
 TransArrayAccelerator &
-ServiceScheduler::engineFor(const ServiceRequest &req)
+ServiceScheduler::engineFor(const EngineKey &key, SessionEngines &engines)
 {
-    const EngineKey key = engineKeyOf(req);
+    std::unique_ptr<TransArrayAccelerator> &engine = engines[key];
+    if (engine != nullptr)
+        return *engine;
     TransArrayAccelerator::Config cfg =
         engineConfig(key, config_.threads);
     const ScoreboardConfig sc = cfg.unit.scoreboardConfig();
 
     // The engine's plans live in the process-wide cache for its
-    // scoreboard config, created the first time any engine needs it.
-    // Only the map insertions happen under engineMu_; the expensive
-    // steps — the warm-start copy and the engine construction (which
-    // spawns executor workers) — run outside so concurrent sessions
-    // and inline stats ops are not serialized behind them.
+    // scoreboard config, made the first time any session needs it.
+    // Only that insertion holds engineMu_: the warm-start copy runs
+    // outside, so other sessions and stats ops do not wait on it.
     PlanCache *shared = nullptr;
     bool fresh_cache = false;
     {
         std::lock_guard<std::mutex> lock(engineMu_);
-        const auto it = engines_.find(key);
-        if (it != engines_.end())
-            return *it->second;
         SharedCache &entry = caches_[scoreboardKeyOf(sc)];
         if (entry.cache == nullptr) {
             entry.config = sc;
@@ -266,19 +278,17 @@ ServiceScheduler::engineFor(const ServiceRequest &req)
         store_.restore(sc, *shared);
     }
     cfg.sharedPlanCache = shared;
-    auto engine = std::make_unique<TransArrayAccelerator>(cfg);
-    std::lock_guard<std::mutex> lock(engineMu_);
-    // A racing session may have inserted the same key first; emplace
-    // keeps the winner and discards our duplicate.
-    return *engines_.emplace(key, std::move(engine)).first->second;
+    engine = std::make_unique<TransArrayAccelerator>(cfg);
+    return *engine;
 }
 
 void
 ServiceScheduler::sessionLoop()
 {
+    SessionEngines engines;
     std::vector<ServiceJob> batch;
     while (queue_.popBatch(config_.window, batch))
-        runBatch(batch);
+        runBatch(batch, engines);
 }
 
 bool
@@ -317,7 +327,8 @@ ServiceScheduler::resolveModel(const ServiceRequest &req,
 }
 
 void
-ServiceScheduler::runBatch(std::vector<ServiceJob> &batch)
+ServiceScheduler::runBatch(std::vector<ServiceJob> &batch,
+                           SessionEngines &engines)
 {
     inflightWindows_.add(1);
     // Phase spans (pin/exec/serialize): the window's phases are shared
@@ -375,7 +386,7 @@ ServiceScheduler::runBatch(std::vector<ServiceJob> &batch)
         if (live.size() == 1) {
             const size_t i = live.front();
             const ServiceRequest &r = batch[i].request;
-            TransArrayAccelerator &acc = engineFor(r);
+            TransArrayAccelerator &acc = engineFor(batch[i].key, engines);
             responses[i] = serializeResponse(
                 r, pins[i].ok()
                        ? acc.runShapeView(r.shape, r.wbits,
@@ -383,7 +394,7 @@ ServiceScheduler::runBatch(std::vector<ServiceJob> &batch)
                        : acc.runShape(r.shape, r.wbits, r.seed));
         } else if (!live.empty()) {
             TransArrayAccelerator &acc =
-                engineFor(batch[live.front()].request);
+                engineFor(batch[live.front()].key, engines);
             std::vector<BatchLayerRequest> layers(live.size());
             for (size_t j = 0; j < live.size(); ++j) {
                 const size_t i = live[j];

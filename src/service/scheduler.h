@@ -5,11 +5,11 @@
  * sessions pop batches of same-engine requests and dispatch them as
  * one `TransArrayAccelerator::runLayersBatched` window (cross-request
  * batching), so concurrent requests share one pool pass exactly like
- * the layers of a suite do. Engines are created on demand per
- * EngineKey and share one process-wide `PlanCache` per scoreboard
- * configuration, warm-started from and persisted to a `PlanCacheStore`
- * file (atomic save), so every request of the server's lifetime — and
- * of previous lifetimes — feeds the same plan cache.
+ * the layers of a suite do. Each session builds its own engine per
+ * EngineKey, so same-key windows run on several sessions at once. All
+ * engines share one process-wide `PlanCache` per scoreboard config,
+ * warm-started from and persisted to a `PlanCacheStore` file (atomic
+ * save): requests of this and earlier server lifetimes feed one cache.
  *
  * Determinism contract (docs/SERVICE.md): the response for a request
  * is byte-identical to a standalone serial run of the same request,
@@ -50,7 +50,8 @@ struct ServiceConfig
     int threads = 0;
     /** Max requests coalesced per dispatch window; 1 = batching off. */
     size_t window = 8;
-    /** Worker sessions draining the queue. */
+    /** Worker sessions draining the queue; each has its own engine
+     *  per key, so one key can use sessions × threads threads. */
     int sessions = 2;
     /** Admission-control bound on queued requests. */
     size_t queueCapacity = 256;
@@ -88,6 +89,20 @@ struct ServiceConfig
     /** BufferManager residency bound (verified pages kept mapped). */
     size_t bufferPages = 4096;
 };
+
+/**
+ * The most executor threads one EngineKey may use in one server: each
+ * session builds its own engine per key, so a key can use sessions ×
+ * threads. ta_serve and ta_router refuse configurations above it.
+ */
+constexpr long long kMaxThreadsPerKey = 256;
+
+/**
+ * True when `sessions` engines of `threads` executor threads each
+ * (0 = ParallelExecutor::defaultThreads()) fit kMaxThreadsPerKey;
+ * otherwise prints why to stderr and returns false.
+ */
+bool threadsPerKeyFit(long long sessions, long long threads);
 
 /**
  * The planning layer of the scheduler: owns the calibrated CostModel
@@ -226,8 +241,11 @@ class ServiceScheduler
         std::unique_ptr<PlanCache> cache;
     };
 
+    /** A session's own engines, one per EngineKey, built on demand. */
+    using SessionEngines =
+        std::map<EngineKey, std::unique_ptr<TransArrayAccelerator>>;
     void sessionLoop();
-    void runBatch(std::vector<ServiceJob> &batch);
+    void runBatch(std::vector<ServiceJob> &batch, SessionEngines &engines);
     /**
      * Resolve a request's named model to a pinned catalog plane. True
      * with the pin filled on success; false with `err` set (no
@@ -236,7 +254,8 @@ class ServiceScheduler
      */
     bool resolveModel(const ServiceRequest &req,
                       BufferManager::Pin &pin, std::string &err);
-    TransArrayAccelerator &engineFor(const ServiceRequest &req);
+    TransArrayAccelerator &engineFor(const EngineKey &key,
+                                     SessionEngines &engines);
     void recordLatency(double ms);
     /** Capture every shared cache into the store and save the file. */
     bool persistSnapshot();
@@ -253,8 +272,7 @@ class ServiceScheduler
     PlanCacheStore store_;
     uint64_t plansLoaded_ = 0;
 
-    mutable std::mutex engineMu_;
-    std::map<EngineKey, std::unique_ptr<TransArrayAccelerator>> engines_;
+    mutable std::mutex engineMu_; ///< guards caches_ (append-only)
     /** Keyed by the plan-relevant ScoreboardConfig fields. */
     std::map<std::tuple<int, int, int, bool>, SharedCache> caches_;
 

@@ -377,6 +377,7 @@ TEST(ServiceDeterminism, ByteIdenticalAcrossConcurrencyAndBatching)
         {1, 1, 1, 1}, // batching off, serial submit
         {1, 4, 1, 8}, // batching on, concurrent submit
         {2, 4, 2, 8}, // parallel engines + two sessions
+        {2, 1, 2, 8}, // unbatched, same-key requests on two sessions
         {2, 16, 2, 1}, // window larger than trace
     };
     for (const Case &c : cases) {
@@ -423,6 +424,18 @@ TEST(ServiceDeterminism, EvictionChurnKeepsResponsesIdentical)
         schedulerResponses(cfg_off, stamped, 8);
     for (size_t i = 0; i < stamped.size(); ++i)
         EXPECT_EQ(got_off[i], expect[i]) << "trace " << i;
+}
+
+TEST(ServiceScheduler_, ThreadsPerKeyCapCountsEverySession)
+{
+    // Each session has its own engine per key, so the cap bounds the
+    // product; 0 threads resolves through TA_THREADS like the executor.
+    EXPECT_TRUE(threadsPerKeyFit(64, 4));
+    EXPECT_TRUE(threadsPerKeyFit(1, kMaxThreadsPerKey));
+    EXPECT_FALSE(threadsPerKeyFit(64, 8));
+    EXPECT_FALSE(threadsPerKeyFit(2, kMaxThreadsPerKey));
+    EXPECT_EQ(threadsPerKeyFit(kMaxThreadsPerKey, 0),
+              ParallelExecutor::defaultThreads() == 1);
 }
 
 TEST(ServiceScheduler_, RejectsWhenQueueFullAndReportsStats)

@@ -97,8 +97,11 @@ writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr) << path;
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-              bytes.size());
+    // An empty vector's data() may be null, which fwrite must not see.
+    if (!bytes.empty()) {
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
+    }
     std::fclose(f);
 }
 

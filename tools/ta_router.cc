@@ -75,7 +75,9 @@ usage(const char *argv0)
         "                   the bound port is printed on stdout as\n"
         "                   'listening <port>'\n"
         "  --threads/--window/--sessions\n"
-        "                   forwarded to every replica\n"
+        "                   forwarded to every replica; --sessions\n"
+        "                   (default 2) x --threads (default\n"
+        "                   TA_THREADS, else 1) may not exceed 256\n"
         "  --plan-cache     replica i warm-starts from and persists\n"
         "                   to BASE.<i>\n"
         "  --cache-save-interval\n"
@@ -277,6 +279,12 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 2;
         }
+    }
+    // Refuse here what every replica would refuse, like --catalog.
+    if (!threadsPerKeyFit(sessions > 0 ? sessions : ServiceConfig{}.sessions,
+                          threads)) {
+        usage(argv[0]);
+        return 2;
     }
     if (threads > 0) {
         rcfg.serveArgs.push_back("--threads");

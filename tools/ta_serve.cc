@@ -56,7 +56,9 @@ usage(const char *argv0)
         "                   (default 8; 1 disables cross-request\n"
         "                   batching)\n"
         "  --sessions       worker sessions draining the queue\n"
-        "                   (default 2)\n"
+        "                   (default 2); each has its own engine per\n"
+        "                   key, so a key uses up to sessions x\n"
+        "                   threads executor threads, at most 256\n"
         "  --queue-cap      admission-control queue bound (default\n"
         "                   256)\n"
         "  --cache-capacity shared plan-cache plans per scoreboard\n"
@@ -183,6 +185,11 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 2;
         }
+    }
+
+    if (!threadsPerKeyFit(cfg.sessions, cfg.threads)) {
+        usage(argv[0]);
+        return 2;
     }
 
     if (!cfg.costModelPath.empty()) {
