@@ -15,12 +15,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -28,20 +22,6 @@ Rng::Rng(uint64_t seed)
     uint64_t s = seed;
     for (auto &w : state_)
         w = splitmix64(s);
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
 }
 
 int64_t
@@ -58,10 +38,9 @@ Rng::uniformInt(int64_t lo, int64_t hi)
 }
 
 double
-Rng::uniformDouble()
+Rng::polarScale(double s)
 {
-    // 53 high-quality bits into [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    return std::sqrt(-2.0 * std::log(s) / s);
 }
 
 double
@@ -71,22 +50,11 @@ Rng::gaussian()
         haveSpare_ = false;
         return spare_;
     }
-    double u, v, s;
-    do {
-        u = 2.0 * uniformDouble() - 1.0;
-        v = 2.0 * uniformDouble() - 1.0;
-        s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double mul = std::sqrt(-2.0 * std::log(s) / s);
-    spare_ = v * mul;
+    const PolarPoint p = polarPoint();
+    const double mul = polarScale(p.s);
+    spare_ = p.v * mul;
     haveSpare_ = true;
-    return u * mul;
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniformDouble() < p;
+    return p.u * mul;
 }
 
 } // namespace ta

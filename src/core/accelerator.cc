@@ -43,11 +43,12 @@ LayerRun::operator+=(const LayerRun &o)
 
 /**
  * One face over the two weight representations the layer machinery
- * consumes: a freshly synthesized SlicedMatrix (byte-per-bit) or a
- * storage-tier WeightView (bit-packed, zero copy out of a pinned
- * segment mapping). Both expose identical geometry and produce
- * identical TransRows, which is the whole byte-identity story of
- * catalog serving.
+ * consumes: a caller's SlicedMatrix (byte-per-bit, runLayer) or a
+ * bit-packed WeightView — a storage-tier plane (zero copy out of a
+ * pinned segment mapping) or the sampled cells runShape synthesizes.
+ * Both expose identical geometry and produce identical TransRows,
+ * which is the whole byte-identity story of catalog serving and of
+ * sampled synthesis.
  */
 struct TransArrayAccelerator::WeightRef
 {
@@ -376,10 +377,44 @@ TransArrayAccelerator::runShape(const GemmShape &shape, int weight_bits,
                                 size_t repr_cols) const
 {
     const auto [nr, kr] = reprDims(shape, repr_rows, repr_cols);
-    const SlicedMatrix w = realLikeSlicedWeights(nr, kr, weight_bits,
-                                                 seed);
-    return rescaleToShape(runLayer(w, shape.m), shape, weight_bits, nr,
-                          kr);
+    std::vector<uint8_t> plane;
+    return runShapeView(shape, weight_bits,
+                        synthesizeSampled(nr, kr, weight_bits, seed,
+                                          shape.m, plane));
+}
+
+WeightView
+TransArrayAccelerator::synthesizeSampled(size_t repr_rows,
+                                         size_t repr_cols,
+                                         int weight_bits, uint64_t seed,
+                                         size_t m_cols,
+                                         std::vector<uint8_t> &plane) const
+{
+    // The geometry depends only on the plane's dimensions, so it is
+    // known before a single weight exists.
+    WeightView v;
+    v.rowStride = ceilDiv(repr_cols, 8);
+    v.rows = repr_rows * static_cast<size_t>(weight_bits);
+    v.cols = repr_cols;
+    v.wordBits = weight_bits;
+    v.origRows = repr_rows;
+    const LayerGeom g = layerGeometry(WeightRef(v), m_cols);
+
+    // Mark every (source row, chunk) cell of the sampled sub-tiles —
+    // the ones calibrateStatic and processSpan extract.
+    std::vector<uint8_t> marked(repr_rows * g.chunks, 0);
+    for (uint64_t i = 0; i < g.sampled; ++i) {
+        const uint64_t s = i * g.stride;
+        const size_t rt = s / g.chunks, ch = s % g.chunks;
+        const size_t r0 = rt * g.tileRows;
+        const size_t r1 = std::min(v.rows, r0 + g.tileRows);
+        for (size_t r = r0 / v.wordBits; r <= (r1 - 1) / v.wordBits; ++r)
+            marked[r * g.chunks + ch] = 1;
+    }
+    plane = realLikePackedCells(repr_rows, repr_cols, weight_bits, seed,
+                                g.t, marked);
+    v.data = plane.data();
+    return v;
 }
 
 LayerRun
@@ -450,10 +485,10 @@ TransArrayAccelerator::runLayersBatched(
     const int shards = pool_.threads();
 
     // Per-layer state, indexed by batch-local layer id. Tasks touch
-    // only their own (layer, shard) slots. `owned` backs the
+    // only their own (layer, shard) slots. `planes` backs the
     // synthesized layers; view-bearing layers reference their pinned
     // segment pages instead and synthesize nothing.
-    std::vector<SlicedMatrix> owned(n);
+    std::vector<std::vector<uint8_t>> planes(n);
     std::vector<WeightRef> weights(n);
     std::vector<LayerGeom> geoms(n);
     std::vector<std::pair<size_t, size_t>> repr(n);
@@ -464,9 +499,8 @@ TransArrayAccelerator::runLayersBatched(
     BatchScheduler sched(pool_);
     sched.run(
         n,
-        // Phase 1: weight synthesis + geometry + static calibration,
-        // parallel across the window's layers (the serial bottleneck of
-        // per-layer dispatch).
+        // Phase 1: sampled weight synthesis + geometry + static
+        // calibration, parallel across the window's layers.
         [&](size_t l) -> size_t {
             const BatchLayerRequest &r = layers[l];
             if (r.view != nullptr) {
@@ -474,10 +508,9 @@ TransArrayAccelerator::runLayersBatched(
                 weights[l] = WeightRef(*r.view);
             } else {
                 repr[l] = reprDims(r.shape, r.reprRows, r.reprCols);
-                owned[l] = realLikeSlicedWeights(
-                    repr[l].first, repr[l].second, r.weightBits,
-                    r.seed);
-                weights[l] = WeightRef(owned[l]);
+                weights[l] = WeightRef(synthesizeSampled(
+                    repr[l].first, repr[l].second, r.weightBits, r.seed,
+                    r.shape.m, planes[l]));
             }
             geoms[l] = layerGeometry(weights[l], r.shape.m);
             if (geoms[l].degenerate())

@@ -5,7 +5,9 @@
  * with the paper's tiling (Sec. 4.1), reporting cycles, DRAM traffic and
  * the Fig. 11 energy breakdown. Large layers are sampled: sub-tiles are
  * strided deterministically and counts re-scaled, which is exact in
- * expectation for the homogeneous tensors the paper evaluates.
+ * expectation for the homogeneous tensors the paper evaluates. Weights
+ * a shape-level run synthesizes are synthesized only where its sampled
+ * sub-tiles read them.
  */
 
 #ifndef TA_CORE_ACCELERATOR_H
@@ -60,7 +62,9 @@ constexpr size_t kDefaultReprCols = 4096;
 /**
  * One layer of a batch window handed to
  * TransArrayAccelerator::runLayersBatched — the batched counterpart of
- * a runShape(shape, weightBits, seed, reprRows, reprCols) call.
+ * a runShape(shape, weightBits, seed, reprRows, reprCols) call: without
+ * a view, phase 1 synthesizes the cells the layer's sampled sub-tiles
+ * read, exactly as runShape does.
  */
 struct BatchLayerRequest
 {
@@ -153,6 +157,13 @@ class TransArrayAccelerator
      * homogeneous), while DRAM traffic and static energy are recomputed
      * for the true dimensions. This is how the Fig. 10/12/14 harnesses
      * run multi-billion-MAC layers on a laptop.
+     *
+     * The tensor is synthesized straight into the packed WeightView
+     * layout, and only in the (row, chunk) cells of the sampled
+     * sub-tiles (realLikePackedCells), then run as runShapeView runs a
+     * catalog plane. Those cells hold exactly the bits of
+     * realLikeSlicedWeights(repr dims, weight_bits, seed), so the result
+     * equals runShapeView over the fully synthesized, packed tensor.
      */
     LayerRun runShape(const GemmShape &shape, int weight_bits,
                       uint64_t seed,
@@ -221,13 +232,26 @@ class TransArrayAccelerator
     // and the batched runLayersBatched path all route through the same
     // geometry / span-processing / shard-order-merge helpers over a
     // WeightRef (SlicedMatrix or packed WeightView behind one face),
-    // so their arithmetic cannot diverge. Defined in accelerator.cc.
+    // so their arithmetic cannot diverge. Synthesized shapes and
+    // catalog planes both arrive as views; a SlicedMatrix only comes
+    // from callers of runLayer. Defined in accelerator.cc.
     struct LayerGeom;
     struct ShardAcc;
     struct WeightRef;
 
     /** runLayer over either weight representation. */
     LayerRun runLayerRef(const WeightRef &w, size_t m_cols) const;
+
+    /**
+     * The synthesis of runShape and runLayersBatched: computes the
+     * layer geometry from the repr dims, marks the cells of the sampled
+     * sub-tiles (all of them when every sub-tile is sampled) and
+     * synthesizes just those into `plane`. Returns the view over it.
+     */
+    WeightView synthesizeSampled(size_t repr_rows, size_t repr_cols,
+                                 int weight_bits, uint64_t seed,
+                                 size_t m_cols,
+                                 std::vector<uint8_t> &plane) const;
 
     /** Sub-tile geometry and sampling plan of one layer. */
     LayerGeom layerGeometry(const WeightRef &w, size_t m_cols) const;

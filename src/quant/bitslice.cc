@@ -86,29 +86,54 @@ extractTransRows(const SlicedMatrix &s, int t_bits, size_t chunk,
     }
 }
 
+namespace {
+
+/** The view TransRows of one chunk, each row's columns loaded as one
+ *  little-endian window of kBytes bytes. */
+template <size_t kBytes>
+void
+extractWindows(const WeightView &v, size_t b0, unsigned shift,
+               uint32_t mask, size_t row_begin, size_t row_end,
+               std::vector<TransRow> &out)
+{
+    const uint8_t *p = v.data + row_begin * v.rowStride + b0;
+    for (size_t r = row_begin; r < row_end; ++r, p += v.rowStride) {
+        uint32_t w = 0;
+        for (size_t i = 0; i < kBytes; ++i)
+            w |= static_cast<uint32_t>(p[i]) << (8 * i);
+        out.push_back({(w >> shift) & mask, static_cast<uint32_t>(r)});
+    }
+}
+
+} // namespace
+
 void
 extractTransRows(const WeightView &v, int t_bits, size_t chunk,
                  size_t row_begin, size_t row_end,
                  std::vector<TransRow> &out)
 {
     TA_ASSERT(row_end <= v.rows, "row range out of bounds");
+    TA_ASSERT(t_bits >= 1 && t_bits <= 16, "bad TransRow width ", t_bits);
     const size_t c0 = chunk * t_bits;
     TA_ASSERT(c0 < v.cols, "chunk out of bounds");
     const size_t c1 = std::min(v.cols, c0 + t_bits);
 
     out.clear();
     out.reserve(row_end - row_begin);
-    for (size_t r = row_begin; r < row_end; ++r) {
-        const uint8_t *row = v.data + r * v.rowStride;
-        uint32_t value = 0;
-        // Bit j of the TransRow is binary-matrix column c0 + j — the
-        // same rule packBits applies to the byte-per-bit rows, so both
-        // extraction paths produce identical values.
-        for (size_t c = c0; c < c1; ++c)
-            value |= static_cast<uint32_t>((row[c >> 3] >> (c & 7)) & 1)
-                     << (c - c0);
-        out.push_back({value, static_cast<uint32_t>(r)});
-    }
+    // Bit j of the TransRow is binary-matrix column c0 + j — the same
+    // rule packBits applies to the byte-per-bit rows. Columns [c0, c1)
+    // span at most 3 bytes (7 + 16 bits); no byte past (c1 - 1) >> 3 is
+    // read, since a row's stride may end there.
+    const size_t b0 = c0 >> 3;
+    const size_t bytes = ((c1 - 1) >> 3) - b0 + 1;
+    const unsigned shift = static_cast<unsigned>(c0 & 7);
+    const uint32_t mask = (1u << (c1 - c0)) - 1;
+    if (bytes == 1)
+        extractWindows<1>(v, b0, shift, mask, row_begin, row_end, out);
+    else if (bytes == 2)
+        extractWindows<2>(v, b0, shift, mask, row_begin, row_end, out);
+    else
+        extractWindows<3>(v, b0, shift, mask, row_begin, row_end, out);
 }
 
 std::vector<uint8_t>

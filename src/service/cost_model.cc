@@ -143,11 +143,15 @@ CostModel::builtin()
     // Calibrated once on the reference container (ta_calibrate --quick
     // battery, median-of-3 timing); conservative enough that shedding
     // only triggers on deadlines the request clearly cannot meet.
+    // sliced_bit and sampled_subtile follow synthesis being sampled
+    // (re-scaled by the ratio of full `ta_calibrate --seed 1` fits on
+    // one host): only the draw stream scales with the whole tensor,
+    // while the quantized cells scale with the sampled sub-tiles.
     CostModel m;
     m.coeffs_ = {
         320000.0, // base: per-request fixed overhead (ns)
-        27000.0,  // sampled_subtile: per simulated sub-tile (ns)
-        3.6,      // sliced_bit: synthesis + slicing per bit (ns)
+        46000.0,  // sampled_subtile: per simulated sub-tile (ns)
+        0.96,     // sliced_bit: synthesis draw stream per bit (ns)
         0.0,      // static_subtile: static path costs no extra on host
         12800.0,  // miss_subtile: plan construction per missed tile (ns)
     };

@@ -242,7 +242,7 @@ parseRequestLine(const std::string &line, ServiceRequest &req,
 
     static const FieldSpec specs[] = {
         {"n", 0, kMaxDim},         {"k", 0, kMaxDim},
-        {"m", 0, kMaxDim},         {"wbits", 1, 16},
+        {"m", 0, kMaxDim},         {"wbits", 2, 16},
         {"abits", 1, 8},           {"tbits", 1, 16},
         {"maxdist", 0, 64},        {"units", 1, 64},
         {"static", 0, 1},          {"samples", 0, kMaxSamples},

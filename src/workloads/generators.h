@@ -13,6 +13,7 @@
 #define TA_WORKLOADS_GENERATORS_H
 
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "quant/bitslice.h"
@@ -45,6 +46,25 @@ MatI32 realLikeWeights(size_t rows, size_t cols, int bits, uint64_t seed);
 /** Real-like weights already bit-sliced. */
 SlicedMatrix realLikeSlicedWeights(size_t rows, size_t cols, int bits,
                                    uint64_t seed);
+
+/**
+ * The bytes of packSlicedBits(realLikeSlicedWeights(rows, cols, bits,
+ * seed)) — the WeightView layout — filled only in the cells `marked`
+ * selects; every other bit is zero. marked[r * numChunks(cols, t_bits)
+ * + ch] != 0 selects every bit level of source row r over columns
+ * [ch * t_bits, ch * t_bits + t_bits).
+ *
+ * The draw stream is walked in order up to the last marked row, so the
+ * marked cells hold exactly the full synthesis's bits; the polar
+ * transform and group absmax run only for the 128-column quantization
+ * groups that hold a marked chunk, and quantization and slicing only
+ * for marked chunks. This is how the accelerator synthesizes just what
+ * its sampled sub-tiles read.
+ */
+std::vector<uint8_t> realLikePackedCells(size_t rows, size_t cols,
+                                         int bits, uint64_t seed,
+                                         int t_bits,
+                                         const std::vector<uint8_t> &marked);
 
 /** Gaussian int8 activations (for functional attention runs). */
 MatI32 randomActivations(size_t rows, size_t cols, int bits,

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/accelerator.h"
+#include "service/protocol.h"
 #include "workloads/generators.h"
 
 namespace ta {
@@ -120,6 +123,95 @@ TEST(Accelerator, RunGemmConvenience)
     const MatI32 w = realLikeWeights(32, 64, 8, 9);
     const LayerRun run = acc.runGemm(w, 8, 128);
     EXPECT_GT(run.cycles, 0u);
+}
+
+// Sampled synthesis is byte-identical to the catalog path: runShape and
+// a mixed runLayersBatched window serialize exactly as runShapeView over
+// packSlicedBits(realLikeSlicedWeights(...)), the fully synthesized
+// tensor, across widths, T, sample limits and both scoreboards.
+TEST(Accelerator, SampledSynthesisMatchesPackedFullSynthesis)
+{
+    // n * wbits is never a multiple of the 256-row tile.
+    const GemmShape shapes[] = {{100, 64, 32}, {21, 1000, 64},
+                                {9, 4096, 16}};
+    const int widths[] = {2, 3, 4, 6, 8, 16};
+    struct Layer
+    {
+        GemmShape shape;
+        int wbits;
+        uint64_t seed;
+        std::vector<uint8_t> packed;
+        WeightView view;
+    };
+    std::vector<Layer> layers;
+    for (const GemmShape &shape : shapes)
+        for (int wbits : widths) {
+            Layer l{shape, wbits, 500 + layers.size(), {}, {}};
+            const SlicedMatrix full =
+                realLikeSlicedWeights(shape.n, shape.k, wbits, l.seed);
+            l.packed = packSlicedBits(full);
+            l.view = {l.packed.data(), ceilDiv(shape.k, 8),
+                      full.bits.rows(), shape.k, wbits, shape.n};
+            layers.push_back(std::move(l));
+        }
+
+    for (int t : {2, 4, 8, 16}) {
+        // One plan cache per T, as a server shares one per scoreboard
+        // config: plans are pure, so sharing changes no result, and it
+        // spares rebuilding the T=16 plans for every engine.
+        PlanCache plans(1 << 14);
+        for (size_t samples : {0, 1, 16, 64, 96, 512})
+            for (bool use_static : {false, true}) {
+                ServiceRequest req;
+                req.tbits = t;
+                req.samples = samples;
+                req.useStatic = use_static;
+                const TransArrayAccelerator acc(
+                    engineConfig(engineKeyOf(req), 2, &plans));
+                std::vector<BatchLayerRequest> window;
+                std::vector<std::string> want;
+                for (const Layer &l : layers) {
+                    req.shape = l.shape;
+                    req.wbits = l.wbits;
+                    req.seed = l.seed;
+                    want.push_back(serializeResponse(
+                        req, acc.runShapeView(l.shape, l.wbits, l.view)));
+                    ASSERT_EQ(serializeResponse(
+                                  req, acc.runShape(l.shape, l.wbits,
+                                                    l.seed)),
+                              want.back())
+                        << "T=" << t << " samples=" << samples
+                        << " static=" << use_static;
+                    window.push_back({l.shape, l.wbits, l.seed});
+                }
+                const std::vector<LayerRun> runs =
+                    acc.runLayersBatched(window);
+                for (size_t i = 0; i < layers.size(); ++i) {
+                    req.shape = layers[i].shape;
+                    req.wbits = layers[i].wbits;
+                    req.seed = layers[i].seed;
+                    ASSERT_EQ(serializeResponse(req, runs[i]), want[i])
+                        << "batched layer " << i << " T=" << t
+                        << " samples=" << samples
+                        << " static=" << use_static;
+                }
+            }
+    }
+}
+
+TEST(Accelerator, RejectsUnsliceableWidthsForAnyShape)
+{
+    // The bit-slicer's 2..16 check holds even when a degenerate shape
+    // leaves nothing to synthesize.
+    const TransArrayAccelerator acc(acfg());
+    for (int wbits : {1, 17})
+        for (const GemmShape &shape :
+             {GemmShape{64, 128, 32}, GemmShape{64, 128, 0},
+              GemmShape{0, 128, 32}, GemmShape{64, 0, 32}}) {
+            EXPECT_THROW(acc.runShape(shape, wbits, 1), std::logic_error);
+            EXPECT_THROW(acc.runLayersBatched({{shape, wbits, 1}}),
+                         std::logic_error);
+        }
 }
 
 TEST(LayerRun, Accumulation)

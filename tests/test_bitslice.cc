@@ -108,6 +108,36 @@ TEST(ExtractTransRows, RowRange)
     EXPECT_EQ(rows[3].slicedRow, 5u);
 }
 
+TEST(ExtractTransRows, ViewMatchesSlicedMatrix)
+{
+    // 203 columns: a multiple of neither 8 nor any T, so edge chunks are
+    // partial and most chunks start mid-byte. The plane is sized exactly,
+    // so a read past a row's last byte would leave the buffer on the
+    // final row.
+    const SlicedMatrix s = realLikeSlicedWeights(40, 203, 6, 5);
+    const std::vector<uint8_t> packed = packSlicedBits(s);
+    WeightView v;
+    v.data = packed.data();
+    v.rowStride = ceilDiv(s.bits.cols(), 8);
+    v.rows = s.bits.rows();
+    v.cols = s.bits.cols();
+    v.wordBits = s.wordBits;
+    v.origRows = s.origRows;
+    ASSERT_EQ(packed.size(), v.rows * v.rowStride);
+    std::vector<TransRow> want, got;
+    for (int t : {2, 4, 8, 16})
+        for (size_t ch = 0; ch < numChunks(v.cols, t); ++ch) {
+            extractTransRows(s, t, ch, 13, v.rows, want);
+            extractTransRows(v, t, ch, 13, v.rows, got);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t i = 0; i < want.size(); ++i) {
+                ASSERT_EQ(got[i].value, want[i].value)
+                    << "T=" << t << " chunk " << ch << " row " << i;
+                ASSERT_EQ(got[i].slicedRow, want[i].slicedRow);
+            }
+        }
+}
+
 TEST(CountOnes, MatchesManual)
 {
     MatBit b(2, 3, 0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "scoreboard/analyzer.h"
 #include "workloads/generators.h"
@@ -111,6 +112,68 @@ TEST(Generators, SlicedBitDensityNearHalf)
 {
     const SlicedMatrix s = realLikeSlicedWeights(128, 128, 8, 19);
     EXPECT_NEAR(slicedBitDensity(s), 0.5, 0.08);
+}
+
+// Odd column counts make Gaussian pairs straddle row ends; 1000 leaves a
+// short last quantization group; 300 spans three groups.
+struct PackedCase
+{
+    size_t rows, cols;
+    int bits, t;
+};
+const PackedCase kPackedCases[] = {
+    {5, 27, 3, 4},   {7, 1000, 8, 8}, {3, 300, 16, 16},
+    {4, 129, 2, 2},  {6, 64, 6, 8},   {2, 1001, 4, 16},
+};
+
+TEST(RealLikePackedCells, AllMarkedIsThePackedFullSynthesis)
+{
+    for (const PackedCase &pc : kPackedCases) {
+        const std::vector<uint8_t> marked(
+            pc.rows * numChunks(pc.cols, pc.t), 1);
+        EXPECT_EQ(realLikePackedCells(pc.rows, pc.cols, pc.bits, 42, pc.t,
+                                      marked),
+                  packSlicedBits(
+                      realLikeSlicedWeights(pc.rows, pc.cols, pc.bits, 42)))
+            << pc.rows << "x" << pc.cols << " int" << pc.bits << " T="
+            << pc.t;
+    }
+}
+
+TEST(RealLikePackedCells, MarkedCellsMatchAndTheRestIsZero)
+{
+    Rng pick(7);
+    for (const PackedCase &pc : kPackedCases) {
+        const size_t chunks = numChunks(pc.cols, pc.t);
+        std::vector<uint8_t> marked(pc.rows * chunks, 0);
+        for (auto &m : marked)
+            m = pick.bernoulli(0.2) ? 1 : 0;
+        marked[(pc.rows - 1) * chunks + chunks - 1] = 1; // the edge chunk
+        const std::vector<uint8_t> got =
+            realLikePackedCells(pc.rows, pc.cols, pc.bits, 9, pc.t, marked);
+        const SlicedMatrix full =
+            realLikeSlicedWeights(pc.rows, pc.cols, pc.bits, 9);
+        const size_t stride = ceilDiv(pc.cols, 8);
+        ASSERT_EQ(got.size(), full.bits.rows() * stride);
+        for (size_t r = 0; r < full.bits.rows(); ++r)
+            for (size_t c = 0; c < pc.cols; ++c) {
+                const bool in = marked[r / pc.bits * chunks + c / pc.t] != 0;
+                const int bit = (got[r * stride + (c >> 3)] >> (c & 7)) & 1;
+                ASSERT_EQ(bit, in ? full.bits.at(r, c) : 0)
+                    << "sliced row " << r << " col " << c;
+            }
+    }
+}
+
+TEST(RealLikePackedCells, RejectsBadWidthsBeforeAnyShortcut)
+{
+    // bitSlice's 2..16 check holds even when nothing would be drawn.
+    for (int bits : {1, 17})
+        for (size_t rows : {0, 4}) {
+            const std::vector<uint8_t> none(rows * numChunks(64, 8), 0);
+            EXPECT_THROW(realLikePackedCells(rows, 64, bits, 1, 8, none),
+                         std::logic_error);
+        }
 }
 
 } // namespace

@@ -77,6 +77,7 @@ TEST(ServiceProtocol, RejectsGarbage)
     std::string err;
     EXPECT_FALSE(parseRequestLine("not json", req, err));
     EXPECT_FALSE(parseRequestLine("{\"wbits\":0}", req, err));
+    EXPECT_FALSE(parseRequestLine("{\"wbits\":1}", req, err));
     EXPECT_FALSE(parseRequestLine("{\"wbits\":-1}", req, err));
     EXPECT_FALSE(parseRequestLine("{\"wbits\":\"four\"}", req, err));
     EXPECT_FALSE(parseRequestLine("{\"threads\":2}", req, err));

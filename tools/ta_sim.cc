@@ -121,7 +121,7 @@ parseArgs(int argc, char **argv, Options &opt)
         else if (a == "--m")
             ok = parseU64Flag(a, v, 0, kMaxDim, r.shape.m);
         else if (a == "--wbits")
-            ok = parseIntFlag(a, v, 1, 16, r.wbits);
+            ok = parseIntFlag(a, v, 2, 16, r.wbits);
         else if (a == "--abits")
             ok = parseIntFlag(a, v, 1, 8, r.abits);
         else if (a == "--tbits")
